@@ -28,13 +28,19 @@ Subpackages: :mod:`repro.topology`, :mod:`repro.model`,
 """
 
 from repro import errors, obs
-from repro.model.instances import gap_instance, random_instance, topology_instance
-from repro.model.problem import AssignmentProblem
-from repro.model.solution import Assignment
-from repro.rl.agent import TaccSolver
-from repro.sim.runner import simulate_assignment
-from repro.solvers.registry import available_solvers, get_solver, register_solver
-from repro.topology.generators import make_topology
+from repro._lazy import lazy_exports
+
+# The rest resolves on first use, so a process that imports only the
+# serving stack never loads the solvers, the simulator or scipy.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.model.instances": ("gap_instance", "random_instance", "topology_instance"),
+    "repro.model.problem": ("AssignmentProblem",),
+    "repro.model.solution": ("Assignment",),
+    "repro.rl.agent": ("TaccSolver",),
+    "repro.sim.runner": ("simulate_assignment",),
+    "repro.solvers.registry": ("available_solvers", "get_solver", "register_solver"),
+    "repro.topology.generators": ("make_topology",),
+})
 
 __version__ = "1.0.0"
 

@@ -19,23 +19,24 @@ closes the loop:
   priority when surviving capacity cannot host everyone.
 """
 
-from repro.cluster.churn import ChurnEvent, ChurnProcess, MembershipController
-from repro.cluster.degradation import DegradedSolution, solve_degraded
-from repro.cluster.faults import (
-    FaultEvent,
-    ServerFaultProcess,
-    degraded_problem,
-    served_cost,
-    serving_fraction,
-)
-from repro.cluster.controller import (
-    ControllerDecision,
-    ReconfigurationController,
-    RECONFIGURE_STRATEGIES,
-)
-from repro.cluster.migration import MigrationPolicy, count_moves
-from repro.cluster.monitor import LoadMonitor
-from repro.cluster.online import OnlineAssigner
+from repro._lazy import lazy_exports
+
+# Resolved on first use: the serving tier needs only ``online``, and
+# ``churn``/``controller``/``degradation`` would pull in the solvers.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.cluster.churn": ("ChurnEvent", "ChurnProcess", "MembershipController"),
+    "repro.cluster.degradation": ("DegradedSolution", "solve_degraded"),
+    "repro.cluster.faults": (
+        "FaultEvent", "ServerFaultProcess", "degraded_problem", "served_cost",
+        "serving_fraction",
+    ),
+    "repro.cluster.controller": (
+        "ControllerDecision", "ReconfigurationController", "RECONFIGURE_STRATEGIES",
+    ),
+    "repro.cluster.migration": ("MigrationPolicy", "count_moves"),
+    "repro.cluster.monitor": ("LoadMonitor",),
+    "repro.cluster.online": ("OnlineAssigner",),
+})
 
 __all__ = [
     "ChurnEvent",

@@ -20,10 +20,16 @@ timeline; ``repro simulate --faults scenario.json`` exposes the same
 machinery on the command line.
 """
 
-from repro.faults.injector import FaultInjector
-from repro.faults.policies import DISPATCH_MODES, RetryPolicy
-from repro.faults.runner import simulate_with_faults
-from repro.faults.scenario import FaultEventSpec, FaultScenario, compose
+from repro._lazy import lazy_exports
+
+# Resolved on first use: the serving tier's netem scripts need only
+# ``scenario``; the injector and runner pull in the simulator.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.faults.injector": ("FaultInjector",),
+    "repro.faults.policies": ("DISPATCH_MODES", "RetryPolicy"),
+    "repro.faults.runner": ("simulate_with_faults",),
+    "repro.faults.scenario": ("FaultEventSpec", "FaultScenario", "compose"),
+})
 
 __all__ = [
     "DISPATCH_MODES",

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.utils.rng import decorrelated_jitter_s
 from repro.utils.validation import check_nonnegative, check_positive, require
 
 #: who handles a failed attempt
@@ -111,6 +112,4 @@ class RetryPolicy:
             jittered = nominal * (1.0 + self.jitter * float(rng.random()))
             return min(self.max_delay_s, jittered)
         prev = self.base_delay_s if prev_delay_s is None else float(prev_delay_s)
-        span = max(0.0, 3.0 * prev - self.base_delay_s)
-        drawn = self.base_delay_s + float(rng.random()) * span
-        return min(self.max_delay_s, drawn)
+        return decorrelated_jitter_s(prev, self.base_delay_s, self.max_delay_s, rng)

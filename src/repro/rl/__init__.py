@@ -24,14 +24,18 @@ interface and are registered as ``"qlearning"``, ``"bandit"``,
 ``"reinforce"`` and ``"tacc"``.
 """
 
-from repro.rl.agent import TaccSolver
-from repro.rl.bandit import BanditSolver
-from repro.rl.double_q import DoubleQLearningSolver
-from repro.rl.env import AssignmentEnv, EpisodeResult
-from repro.rl.qlearning import QLearningSolver
-from repro.rl.reinforce import ReinforceSolver
-from repro.rl.sarsa import SarsaSolver
-from repro.rl.schedules import ConstantSchedule, ExponentialDecay, LinearDecay
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.rl.agent": ("TaccSolver",),
+    "repro.rl.bandit": ("BanditSolver",),
+    "repro.rl.double_q": ("DoubleQLearningSolver",),
+    "repro.rl.env": ("AssignmentEnv", "EpisodeResult"),
+    "repro.rl.qlearning": ("QLearningSolver",),
+    "repro.rl.reinforce": ("ReinforceSolver",),
+    "repro.rl.sarsa": ("SarsaSolver",),
+    "repro.rl.schedules": ("ConstantSchedule", "ExponentialDecay", "LinearDecay"),
+})
 
 __all__ = [
     "TaccSolver",

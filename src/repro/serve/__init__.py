@@ -30,17 +30,9 @@ the re-optimization loop, and the ``repro serve`` / ``repro loadtest``
 CLI front ends.
 """
 
+from repro._lazy import lazy_exports
 from repro.serve.admission import AdmissionController, AdmissionDecision
 from repro.serve.batcher import FLUSH_REASONS, MicroBatcher
-from repro.serve.loadtest import (
-    PROFILES,
-    LoadTestConfig,
-    LoadTestReport,
-    drive_trace,
-    generate_trace,
-    replay_serial,
-    run_loadtest,
-)
 from repro.serve.protocol import (
     OPS,
     PRIORITY_CLASSES,
@@ -54,6 +46,15 @@ from repro.serve.protocol import (
 from repro.serve.server import InProcessClient, TCPClient, TCPServer, open_client
 from repro.serve.service import AssignmentService, ServiceConfig
 from repro.serve.state import ServiceState
+
+# The load generator is a client-side tool: resolved on first use so a
+# serving process never loads it (or the workload models behind it).
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.serve.loadtest": (
+        "PROFILES", "LoadTestConfig", "LoadTestReport", "drive_trace",
+        "generate_trace", "replay_serial", "run_loadtest",
+    ),
+})
 
 __all__ = [
     "AdmissionController",

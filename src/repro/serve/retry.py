@@ -33,25 +33,11 @@ from repro.obs import runtime as obs_runtime
 from repro.obs.trace import context_from_wire as trace_context_from_wire
 from repro.serve.deadline import deadline_ms_in, expired, remaining_s
 from repro.serve.protocol import Request, Response
-from repro.utils.rng import derive_seed, make_rng
+from repro.utils.rng import decorrelated_jitter_s, derive_seed, make_rng
 from repro.utils.validation import require
 
 #: response statuses worth a retry (everything else is terminal)
 RETRYABLE_STATUSES = ("rejected", "timeout")
-
-
-def decorrelated_jitter_s(
-    prev_s: float, base_s: float, cap_s: float, rng
-) -> float:
-    """One decorrelated-jitter backoff draw.
-
-    ``min(cap, base + U·(3·prev − base))`` — uniform over
-    ``[base, 3·prev]``: the next sleep depends on the previous *drawn*
-    sleep, not the attempt number, so concurrent clients decorrelate
-    instead of marching through the same exponential schedule.
-    """
-    span = max(0.0, 3.0 * prev_s - base_s)
-    return min(cap_s, base_s + rng.random() * span)
 
 
 class RetryBudget:

@@ -137,6 +137,10 @@ class AssignmentService:
         self._last_flush_t = time.perf_counter()
         self._consumer = asyncio.create_task(self._consume(), name="serve-consumer")
         if self.config.reopt_interval_s is not None:
+            # load the solver stack now rather than in the first round's
+            # worker thread, where the import would contend with requests
+            import repro.solvers.registry  # noqa: F401
+
             self._reopt_task = asyncio.create_task(
                 self._reopt_loop(), name="serve-reopt"
             )

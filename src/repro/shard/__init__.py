@@ -22,17 +22,11 @@ group, with a thin router in front.
   CLI, the fault-injection demo, and the G4 benchmark.
 """
 
+from repro._lazy import lazy_exports
 from repro.shard.backend import (
     CircuitBreaker,
     InProcessBackend,
     TCPBackend,
-)
-from repro.shard.harness import (
-    HarnessConfig,
-    RecordingClient,
-    ShardLoadTestReport,
-    ShardProcess,
-    run_sharded_loadtest,
 )
 from repro.shard.partition import (
     NO_REGION,
@@ -44,6 +38,15 @@ from repro.shard.partition import (
 )
 from repro.shard.ring import DEFAULT_VNODES, ConsistentHashRing
 from repro.shard.router import RouterConfig, ShardRouter
+
+# The multi-process supervisor drives load tests and fault scripts;
+# resolved on first use so a shard or router process never loads it.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.shard.harness": (
+        "HarnessConfig", "RecordingClient", "ShardLoadTestReport",
+        "ShardProcess", "run_sharded_loadtest",
+    ),
+})
 
 __all__ = [
     "CircuitBreaker",

@@ -153,6 +153,7 @@ class ShardRouter:
         self._trips_seen: "dict[str, int]" = {}  # breaker trips published
         self._rebalance_task: "asyncio.Task | None" = None
         self._cleanup_tasks: "set[asyncio.Task]" = set()
+        self._detached: "set[asyncio.Task]" = set()  # abandoned hedge copies
         self._started = False
         self._assign_seq = 0
         self.spillovers_total = 0
@@ -191,11 +192,16 @@ class ShardRouter:
             except asyncio.CancelledError:
                 pass
             self._rebalance_task = None
-        if self._cleanup_tasks:
-            # let in-flight hedge-loser / ghost releases settle so they
-            # don't race the backend close below
+        # Drain abandoned hedge copies and the releases they spawn. A
+        # copy still in flight may yet land on a second shard, and its
+        # done-callback only then spawns the release that undoes it, so
+        # wait until neither set has anything left — otherwise the
+        # owner stops the shards under a landed copy and the device
+        # stays held twice.
+        while self._detached or self._cleanup_tasks:
             await asyncio.gather(
-                *tuple(self._cleanup_tasks), return_exceptions=True
+                *self._detached, *self._cleanup_tasks,
+                return_exceptions=True,
             )
         for backend in self.backends.values():
             await backend.close()
@@ -550,6 +556,10 @@ class ShardRouter:
                         name, device, obs_names.SHARD_HEDGE_CLEANUPS
                     )
             task.add_done_callback(_reap)
+            # after _reap, so a drained copy has already spawned its
+            # release when stop() sees it leave the set
+            self._detached.add(task)
+            task.add_done_callback(self._detached.discard)
         tasks.clear()
 
     def _spawn_cleanup(self, name: str, device: int, metric: str) -> None:

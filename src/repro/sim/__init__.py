@@ -18,11 +18,17 @@ end-to-end latency, deadline miss rate and server utilization.
 * :mod:`repro.sim.runner` — one-call replay of a solved assignment.
 """
 
-from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventQueue
-from repro.sim.metrics import MetricsRecorder, SimReport
-from repro.sim.runner import simulate_assignment
-from repro.sim.trace_runner import paired_comparison, replay_trace
+from repro._lazy import lazy_exports
+
+# Resolved on first use, so importing one simulator module (say
+# ``repro.sim.task``) does not load the whole simulator.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.engine": ("Simulator",),
+    "repro.sim.events": ("Event", "EventQueue"),
+    "repro.sim.metrics": ("MetricsRecorder", "SimReport"),
+    "repro.sim.runner": ("simulate_assignment",),
+    "repro.sim.trace_runner": ("paired_comparison", "replay_trace"),
+})
 
 __all__ = [
     "Simulator",

@@ -1,54 +1,11 @@
 """The unit of simulated work: one IoT message/task.
 
-Created at a device, forwarded hop-by-hop over the network, processed
-at an edge server.  Timestamps are filled in as the task moves; the
-metrics recorder derives every latency statistic from them.
+:class:`Task` is defined in :mod:`repro.workload.tasks`, next to the
+factory that creates it, so the simulator depends on the workload
+models and not the other way round; it is re-exported here for the
+simulator modules that consume it.
 """
 
-from __future__ import annotations
+from repro.workload.tasks import Task
 
-from dataclasses import dataclass
-
-from repro.utils.validation import check_positive
-
-
-@dataclass
-class Task:
-    """One message from an IoT device to its assigned edge server."""
-
-    task_id: int
-    device_id: int
-    server_id: int
-    size_bits: float
-    compute_units: float
-    created_at: float
-    deadline_s: "float | None" = None
-    arrived_at: "float | None" = None
-    completed_at: "float | None" = None
-
-    def __post_init__(self) -> None:
-        check_positive(self.size_bits, "size_bits")
-        check_positive(self.compute_units, "compute_units")
-
-    @property
-    def network_latency(self) -> "float | None":
-        """Device-to-server communication delay (the paper's quantity)."""
-        if self.arrived_at is None:
-            return None
-        return self.arrived_at - self.created_at
-
-    @property
-    def total_latency(self) -> "float | None":
-        """End-to-end latency including server queueing and processing."""
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.created_at
-
-    @property
-    def missed_deadline(self) -> "bool | None":
-        """Whether the task finished after its deadline (None = no deadline)."""
-        if self.deadline_s is None:
-            return None
-        if self.completed_at is None:
-            return True  # never completed counts as missed
-        return self.total_latency > self.deadline_s
+__all__ = ["Task"]

@@ -18,27 +18,29 @@ plug into the same :class:`~repro.solvers.base.Solver` interface; the
 registry in :mod:`repro.solvers.registry` knows all of them by name.
 """
 
-from repro.solvers.annealing import SimulatedAnnealingSolver
-from repro.solvers.auction import AuctionSolver
-from repro.solvers.base import Solver, SolverResult
-from repro.solvers.bottleneck import BottleneckSolver
-from repro.solvers.exact import BranchAndBoundSolver, BruteForceSolver
-from repro.solvers.genetic import GeneticSolver
-from repro.solvers.greedy import (
-    BestFitSolver,
-    GreedyFeasibleSolver,
-    NearestServerSolver,
-    RandomFeasibleSolver,
-    RegretGreedySolver,
-    RoundRobinSolver,
-    WorstFitSolver,
-)
-from repro.solvers.lagrangian import LagrangianSolver
-from repro.solvers.lns import LNSSolver
-from repro.solvers.local_search import LocalSearchSolver, TabuSearchSolver
-from repro.solvers.lp import LPRoundingSolver, lp_lower_bound
-from repro.solvers.portfolio import PortfolioSolver
-from repro.solvers.registry import available_solvers, get_solver
+from repro._lazy import lazy_exports
+
+# Resolved on first use, so importing one solver module (or the
+# registry) loads only what it needs.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.solvers.annealing": ("SimulatedAnnealingSolver",),
+    "repro.solvers.auction": ("AuctionSolver",),
+    "repro.solvers.base": ("Solver", "SolverResult"),
+    "repro.solvers.bottleneck": ("BottleneckSolver",),
+    "repro.solvers.exact": ("BranchAndBoundSolver", "BruteForceSolver"),
+    "repro.solvers.genetic": ("GeneticSolver",),
+    "repro.solvers.greedy": (
+        "BestFitSolver", "GreedyFeasibleSolver", "NearestServerSolver",
+        "RandomFeasibleSolver", "RegretGreedySolver", "RoundRobinSolver",
+        "WorstFitSolver",
+    ),
+    "repro.solvers.lagrangian": ("LagrangianSolver",),
+    "repro.solvers.lns": ("LNSSolver",),
+    "repro.solvers.local_search": ("LocalSearchSolver", "TabuSearchSolver"),
+    "repro.solvers.lp": ("LPRoundingSolver", "lp_lower_bound"),
+    "repro.solvers.portfolio": ("PortfolioSolver",),
+    "repro.solvers.registry": ("available_solvers", "get_solver"),
+})
 
 __all__ = [
     "SimulatedAnnealingSolver",

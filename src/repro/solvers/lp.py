@@ -18,8 +18,6 @@ trade the theoretical factor for feasibility via repair.)
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
 from repro.errors import SolverError
 from repro.model.problem import AssignmentProblem
@@ -35,6 +33,12 @@ def lp_relaxation(problem: AssignmentProblem) -> tuple[float, np.ndarray]:
     :class:`~repro.errors.SolverError` if HiGHS fails (which for this
     always-feasible LP indicates a malformed instance).
     """
+    # imported here, not at module level: the registry imports this
+    # module, and scipy.optimize would otherwise load into every process
+    # that names a solver (see docs/architecture.md, "Import layering")
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
     n, m = problem.n_devices, problem.n_servers
     cost = problem.delay.reshape(-1)
 

@@ -66,3 +66,19 @@ def spawn_rngs(seed: int, *labels: "str | int") -> list[np.random.Generator]:
     >>> topo_rng, load_rng = spawn_rngs(7, "topology", "workload")
     """
     return [make_rng(derive_seed(seed, label)) for label in labels]
+
+
+def decorrelated_jitter_s(
+    prev_s: float, base_s: float, cap_s: float, rng
+) -> float:
+    """One decorrelated-jitter backoff draw.
+
+    ``min(cap, base + U·(3·prev − base))`` — uniform over
+    ``[base, 3·prev]``: the next sleep depends on the previous *drawn*
+    sleep, not the attempt number, so concurrent clients decorrelate
+    instead of marching through the same exponential schedule.  Shared
+    by the serving client's retries and the simulator's task retries;
+    ``rng`` needs only a ``random()`` method returning ``U`` in [0, 1).
+    """
+    span = max(0.0, 3.0 * prev_s - base_s)
+    return min(cap_s, base_s + float(rng.random()) * span)

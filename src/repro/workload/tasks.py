@@ -1,19 +1,68 @@
-"""Task shape distributions.
+"""Tasks and their shape distributions.
 
-:class:`TaskFactory` stamps out :class:`~repro.sim.task.Task` objects
-with lognormal message sizes (telemetry is small, occasional frames
-are big) and exponential compute demand around configurable means.
+:class:`Task` is the unit of simulated work: one IoT message, created
+at a device, forwarded hop-by-hop over the network and processed at an
+edge server.  Timestamps are filled in as the task moves; the
+simulator's metrics recorder derives every latency statistic from
+them.  :class:`TaskFactory` stamps out tasks with lognormal message
+sizes (telemetry is small, occasional frames are big) and exponential
+compute demand around configurable means.
+
+``Task`` lives here rather than in :mod:`repro.sim` so the dependency
+runs one way: the simulator imports workload models, never the reverse.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.task import Task
 from repro.utils.validation import check_positive
+
+
+@dataclass
+class Task:
+    """One message from an IoT device to its assigned edge server."""
+
+    task_id: int
+    device_id: int
+    server_id: int
+    size_bits: float
+    compute_units: float
+    created_at: float
+    deadline_s: "float | None" = None
+    arrived_at: "float | None" = None
+    completed_at: "float | None" = None
+
+    def __post_init__(self) -> None:
+        check_positive(self.size_bits, "size_bits")
+        check_positive(self.compute_units, "compute_units")
+
+    @property
+    def network_latency(self) -> "float | None":
+        """Device-to-server communication delay (the paper's quantity)."""
+        if self.arrived_at is None:
+            return None
+        return self.arrived_at - self.created_at
+
+    @property
+    def total_latency(self) -> "float | None":
+        """End-to-end latency including server queueing and processing."""
+        if self.completed_at is None:
+            return None
+        return self.completed_at - self.created_at
+
+    @property
+    def missed_deadline(self) -> "bool | None":
+        """Whether the task finished after its deadline (None = no deadline)."""
+        if self.deadline_s is None:
+            return None
+        if self.completed_at is None:
+            return True  # never completed counts as missed
+        return self.total_latency > self.deadline_s
 
 
 class TaskFactory:

@@ -10,11 +10,14 @@ import pytest
 
 from repro.errors import DeadlineExceededError
 from repro.model.instances import topology_instance
+from repro.model.solution import UNASSIGNED
+from repro.netem import NetemBackend, NetemEngine, NetemRule, NetemScript
 from repro.serve.loadtest import generate_trace, replay_serial
 from repro.serve.protocol import Request
 from repro.serve.server import TCPServer, open_client
 from repro.serve.service import AssignmentService, ServiceConfig
 from repro.shard.backend import CircuitBreaker, InProcessBackend, TCPBackend
+from repro.shard.latency import LatencyTracker
 from repro.shard.partition import build_plan
 from repro.shard.router import RouterConfig, ShardRouter
 
@@ -302,6 +305,63 @@ class TestHedgeLoserReap:
                 assert stats["per_shard"][name]["active_devices"] == 0
             finally:
                 await shutdown(services, router)
+
+        run(scenario())
+
+
+class TestStopDrainsHedgeCopies:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_stop_right_after_last_answer_holds_each_device_once(self, seed):
+        # One shard's answers come back 100 ms late while the router
+        # hedges after 5 ms, so every assign homed there is won by a
+        # hedge on another shard and leaves its first copy applied but
+        # unanswered.  Those answers, and the releases they trigger,
+        # are still in flight when the router stops right after the
+        # last reply; the owner then stops the shards.  Unless stop()
+        # drains them, a late loser's release hits a stopped shard and
+        # the device stays held twice.
+        async def scenario():
+            problem = make_problem(seed)
+            plan = build_plan(problem, 3, seed=seed)
+            engine = NetemEngine(NetemScript(seed=seed, rules=(
+                NetemRule(kind="delay", edge=f"router->{plan.shards[0].name}",
+                          direction="reverse", delay_s=0.1),
+            )))
+            services, backends = {}, {}
+            for spec in plan.shards:
+                service = AssignmentService(
+                    plan.subproblem(problem, spec.name),
+                    ServiceConfig(max_wait_s=0.0),
+                )
+                await service.start()
+                services[spec.name] = service
+                backends[spec.name] = NetemBackend(
+                    InProcessBackend(spec.name, service), engine)
+            router = ShardRouter(plan, backends, latency=LatencyTracker(
+                default_hedge_delay_s=0.005, min_hedge_delay_s=0.005,
+                hedge_multiplier=0.1,
+            ))
+            await router.start()
+            devices = range(0, problem.n_devices, 2)
+            responses = await asyncio.gather(*(
+                router.request(Request(op="assign", device=d))
+                for d in devices
+            ))
+            await asyncio.wait_for(shutdown(services, router), timeout=10)
+            assert router.hedges_total > 0
+
+            placed = {d for d, r in zip(devices, responses) if r.ok}
+            assert placed
+            holders = np.zeros(problem.n_devices, dtype=np.int64)
+            holder_of = {}
+            for name, service in services.items():
+                held = np.flatnonzero(service.state.vector != UNASSIGNED)
+                holders[held] += 1
+                holder_of.update((int(d), name) for d in held)
+            assert int(holders.max()) <= 1, (
+                f"{int(np.sum(holders > 1))} devices held by two shards")
+            assert set(holder_of) == placed
+            assert router._locations == holder_of
 
         run(scenario())
 

@@ -1,4 +1,5 @@
-"""The request-path swallowed-exception lint, and the tree it guards."""
+"""The request-path swallowed-exception lint, the eager-scipy lint, and
+the trees they guard."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 from lint_except_pass import (  # noqa: E402
+    LAZY_IMPORT_ROOTS,
     REQUEST_PATH_ROOTS,
+    check_lazy_imports,
     check_source,
     check_tree,
 )
@@ -81,6 +84,38 @@ class TestSpanRule:
         assert len(check_source(source)) == 1
 
 
+class TestLazyImportRule:
+    def test_flags_module_level_scipy_imports(self):
+        source = (
+            "import numpy as np\n"
+            "from scipy.optimize import linprog\n"
+            "import scipy.sparse as sp\n"
+        )
+        violations = check_lazy_imports(source)
+        assert [v.split(":")[1] for v in violations] == ["2", "3"]
+
+    def test_flags_imports_that_still_run_at_import_time(self):
+        source = (
+            "try:\n    import scipy\nexcept ImportError:\n    scipy = None\n"
+            "class Solver:\n    from scipy import stats\n"
+        )
+        assert len(check_lazy_imports(source)) == 2
+
+    def test_function_local_and_type_checking_imports_are_legal(self):
+        source = (
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n    from scipy.sparse import csr_matrix\n"
+            "def solve():\n    from scipy.optimize import linprog\n"
+            "class Solver:\n"
+            "    def solve(self):\n        import scipy.sparse\n"
+        )
+        assert check_lazy_imports(source) == []
+
+    def test_other_packages_and_relative_imports_are_legal(self):
+        source = "import scipyish\nfrom . import scipy\nimport numpy\n"
+        assert check_lazy_imports(source) == []
+
+
 class TestRequestPathIsClean:
     def test_no_swallowed_exceptions_on_the_request_path(self):
         roots = [
@@ -90,3 +125,7 @@ class TestRequestPathIsClean:
         ]
         assert roots, "request-path packages moved; update the lint"
         assert check_tree(roots) == []
+
+    def test_no_module_level_scipy_import_in_the_package(self):
+        roots = [str(REPO_ROOT / root) for root in LAZY_IMPORT_ROOTS]
+        assert check_tree(roots, check=check_lazy_imports) == []

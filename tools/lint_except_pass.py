@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Forbid silent failure modes on the serving request path.
+"""Forbid silent failure modes on the serving request path, and eager scipy.
 
-Two rules, both AST-enforced:
+Three rules, all AST-enforced.  The first two guard the request path:
 
 * ``except Exception: pass`` (or a bare ``except: pass``) turns a gray
   failure into an invisible one: the request neither succeeds nor
@@ -17,14 +17,23 @@ Two rules, both AST-enforced:
   send and completion live in different callbacks
   (``loadtest.py``/``harness.py``) and is forbidden everywhere else.
 
+The third guards the whole package:
+
+* a module-level ``import scipy…`` loads scipy (hundreds of modules,
+  tens of MB and tens of thousands of GC-tracked objects) into every
+  process that imports the module, serving processes included.  scipy
+  is imported inside the functions that call it (see
+  docs/architecture.md, "Import layering").
+
 Usage::
 
     python tools/lint_except_pass.py [ROOT ...]
 
-Walks the given roots (default: the request-path packages under
-``src/repro``), AST-parses every ``*.py`` file, and reports each
-violation as ``path:line: message``.  Exit 1 when any are found, 0
-otherwise.
+Walks the given roots, AST-parses every ``*.py`` file, and reports each
+violation as ``path:line: message``.  With no roots, the request-path
+rules run over the request-path packages and the scipy rule over all of
+``src/repro``; given roots get all three rules.  Exit 1 when any are
+found, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -41,6 +50,9 @@ REQUEST_PATH_ROOTS = (
     "src/repro/wal",
     "src/repro/contention",
 )
+
+#: the whole package, where scipy may be imported only inside functions
+LAZY_IMPORT_ROOTS = ("src/repro",)
 
 #: exception names too broad to silently swallow
 BROAD_NAMES = {"Exception", "BaseException"}
@@ -127,28 +139,63 @@ def check_source(source: str, path: str = "<string>") -> "list[str]":
     return violations
 
 
-def check_tree(roots: "list[str]") -> "list[str]":
-    """All violations under the given root directories."""
+def _module_level(nodes):
+    """Statements that run at import: everything outside function
+    bodies and ``if TYPE_CHECKING:`` blocks."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yield node
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+            yield from _module_level(node.orelse)
+        else:
+            yield from _module_level(ast.iter_child_nodes(node))
+
+
+def check_lazy_imports(source: str, path: str = "<string>") -> "list[str]":
+    """Module-level scipy imports, as ``path:line: msg`` lines."""
+    violations = []
+    for node in _module_level(ast.parse(source, filename=path).body):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        violations.extend(
+            f"{path}:{node.lineno}: module-level import of {name} loads "
+            f"it into every process that imports this module — import "
+            f"it inside the function that uses it"
+            for name in names if name.split(".")[0] == "scipy"
+        )
+    return violations
+
+
+def check_tree(roots: "list[str]", check=check_source) -> "list[str]":
+    """All violations of ``check`` under the given root directories."""
     violations = []
     for root in roots:
         base = Path(root)
         files = sorted(base.rglob("*.py")) if base.is_dir() else [base]
         for path in files:
             violations.extend(
-                check_source(path.read_text(encoding="utf-8"), str(path))
+                check(path.read_text(encoding="utf-8"), str(path))
             )
     return violations
 
 
 def main(argv: "list[str]") -> int:
-    roots = argv or [
-        root for root in REQUEST_PATH_ROOTS if Path(root).exists()
-    ]
-    violations = check_tree(roots)
+    def existing(roots):
+        return [root for root in roots if Path(root).exists()]
+
+    violations = check_tree(argv or existing(REQUEST_PATH_ROOTS))
+    violations += check_tree(
+        argv or existing(LAZY_IMPORT_ROOTS), check=check_lazy_imports
+    )
     for line in violations:
         print(line)
     if violations:
-        print(f"{len(violations)} request-path lint violation(s)")
+        print(f"{len(violations)} lint violation(s)")
         return 1
     return 0
 
