@@ -3,9 +3,9 @@
 Prices an assignment by the load it actually offers to shared links —
 ``effective_delay = propagation + transmission + contention`` — with an
 exact recompute oracle, an O(links-on-path) incremental evaluator for
-move/swap neighbourhoods, and congestion-aware solver variants.  See
-``docs/cost_model.md`` for the model and the tail-amplification
-crossover it reproduces.
+move/swap neighbourhoods, and a congestion-aware local search
+(``congestion_local_search``).  See ``docs/cost_model.md`` for the
+model and the tail-amplification crossover it reproduces.
 """
 
 from repro.contention.incidence import PathIncidence, build_incidence
@@ -16,11 +16,7 @@ from repro.contention.model import (
     IncrementalEvaluator,
 )
 from repro.contention.objective import ContentionObjective
-from repro.contention.solvers import (
-    CongestionBottleneckSolver,
-    CongestionGreedySolver,
-    CongestionLocalSearchSolver,
-)
+from repro.contention.solvers import CongestionLocalSearchSolver
 
 __all__ = [
     "PathIncidence",
@@ -30,7 +26,5 @@ __all__ = [
     "ContentionModel",
     "ContentionObjective",
     "IncrementalEvaluator",
-    "CongestionBottleneckSolver",
-    "CongestionGreedySolver",
     "CongestionLocalSearchSolver",
 ]

@@ -1,17 +1,17 @@
-"""Congestion-aware assignment solvers.
+"""Congestion-aware local search.
 
-Variants of the greedy / local-search / bottleneck family that score
-moves under the flow-based contention cost instead of the static delay
-matrix, using :class:`~repro.contention.model.IncrementalEvaluator`
-so every candidate move is priced in O(links-on-path).
+A shift/swap descent that scores moves under the flow-based contention
+cost instead of the static delay matrix, using
+:class:`~repro.contention.model.IncrementalEvaluator` so every
+candidate move is priced in O(links-on-path).  Its starting point is a
+greedy construction scored the same way.
 
-All three degrade gracefully: on a matrix-only problem (no graph to
-route over) they fall back to their delay-only counterpart's
-construction, so the registry-wide solver contracts hold on every
-instance kind.  Reported ``objective_value`` stays the standard
-resolved objective (total delay by default) — the contention cost is
-what the *search* minimizes, and the full evaluation is returned in
-``extra`` for the experiment harness.
+It degrades gracefully: on a matrix-only problem (no graph to route
+over) it falls back to the delay-only feasible construction, so the
+registry-wide solver contracts hold on every instance kind.  Reported
+``objective_value`` stays the standard resolved objective (total delay
+by default) — the contention cost is what the *search* minimizes, and
+it is returned in ``extra`` for the experiment harness.
 """
 
 from __future__ import annotations
@@ -26,41 +26,21 @@ from repro.contention.model import (
 from repro.model.problem import AssignmentProblem
 from repro.model.solution import UNASSIGNED, Assignment
 from repro.solvers.base import Solver
-from repro.solvers.greedy import feasible_start, greedy_feasible_assignment
+from repro.solvers.greedy import feasible_start
 from repro.utils.validation import require
 
 #: capacity slack tolerance, matching the delay-only neighbourhood code
 _EPS = 1e-12
 
 
-class _CongestionSolver(Solver):
-    """Shared plumbing: config handling and the matrix-only fallback."""
-
-    def __init__(self, config: "ContentionConfig | None" = None, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.config = config if config is not None else ContentionConfig()
-
-    def _has_topology(self, problem: AssignmentProblem) -> bool:
-        return (
-            problem.graph is not None
-            and problem.devices is not None
-            and problem.servers is not None
-        )
-
-    def _model(self, problem: AssignmentProblem) -> ContentionModel:
-        return ContentionModel(problem, self.config)
-
-    def _healthy(self, problem: AssignmentProblem) -> np.ndarray:
-        return problem.healthy_mask()
-
-
 def _greedy_construct(
     model: ContentionModel, problem: AssignmentProblem
-) -> tuple[IncrementalEvaluator, np.ndarray, int]:
+) -> IncrementalEvaluator:
     """Decreasing-demand greedy scored by the incremental cost delta.
 
-    Returns the evaluator (holding the built vector), the residual
-    capacities, and the number of devices placed.
+    Each device takes the fitting server with the lowest marginal cost.
+    Returns the evaluator holding the built vector; devices that fit
+    nowhere stay unassigned.
     """
     n, m = problem.n_devices, problem.n_servers
     evaluator = IncrementalEvaluator(
@@ -69,7 +49,6 @@ def _greedy_construct(
     residual = problem.capacity.copy()
     healthy = problem.healthy_mask()
     order = np.argsort(-np.mean(problem.demand, axis=1), kind="stable")
-    placed = 0
     for device in (int(d) for d in order):
         best_server = -1
         best_delta = np.inf
@@ -86,38 +65,10 @@ def _greedy_construct(
             continue  # unfittable: left unassigned, result will be infeasible
         evaluator.apply_shift(device, best_server)
         residual[best_server] -= problem.demand[device, best_server]
-        placed += 1
-    return evaluator, residual, placed
+    return evaluator
 
 
-class CongestionGreedySolver(_CongestionSolver):
-    """Greedy construction scored by the flow-based effective delay.
-
-    Devices are placed in decreasing mean-demand order; each takes the
-    fitting server whose *marginal* cost — base path delay plus the
-    congestion its flow adds to every link it would cross — is lowest.
-    Unlike the delay-only greedy it naturally spreads flows away from
-    uplinks that earlier placements already loaded.
-    """
-
-    name = "congestion_greedy"
-
-    def _solve(self, problem: AssignmentProblem, rng) -> tuple[Assignment, dict]:
-        if not self._has_topology(problem):
-            with self.phase("construct"):
-                assignment = greedy_feasible_assignment(problem)
-            return assignment, {"iterations": 0, "fallback": "greedy"}
-        with self.phase("route"):
-            model = self._model(problem)
-        with self.phase("construct"):
-            evaluator, _, placed = _greedy_construct(model, problem)
-        return (
-            Assignment(problem, evaluator.vector),
-            {"iterations": placed, "contention_cost": evaluator.total_cost},
-        )
-
-
-class CongestionLocalSearchSolver(_CongestionSolver):
+class CongestionLocalSearchSolver(Solver):
     """Best-improvement shift/swap descent on the contention cost.
 
     Identical neighbourhood and feasibility rules to
@@ -129,21 +80,28 @@ class CongestionLocalSearchSolver(_CongestionSolver):
 
     name = "congestion_local_search"
 
-    def __init__(self, use_swaps: bool = True, max_passes: int = 200, **kwargs) -> None:
+    def __init__(
+        self,
+        use_swaps: bool = True,
+        max_passes: int = 200,
+        config: "ContentionConfig | None" = None,
+        **kwargs,
+    ) -> None:
         super().__init__(**kwargs)
         require(max_passes >= 1, "max_passes must be >= 1")
+        self.config = config if config is not None else ContentionConfig()
         self.use_swaps = use_swaps
         self.max_passes = max_passes
 
     def _solve(self, problem: AssignmentProblem, rng) -> tuple[Assignment, dict]:
-        if not self._has_topology(problem):
+        if problem.graph is None or problem.devices is None or problem.servers is None:
             with self.phase("construct"):
                 assignment = feasible_start(problem, rng)
             return assignment, {"iterations": 0, "fallback": "local_search"}
         with self.phase("route"):
-            model = self._model(problem)
+            model = ContentionModel(problem, self.config)
         with self.phase("construct"):
-            evaluator, _, _ = _greedy_construct(model, problem)
+            evaluator = _greedy_construct(model, problem)
             if np.any(evaluator.vector == UNASSIGNED):
                 # congestion greedy could not complete; retry from the
                 # delay-only feasibility chain before giving up
@@ -213,96 +171,5 @@ class CongestionLocalSearchSolver(_CongestionSolver):
                 "iterations": moves,
                 "passes": passes,
                 "contention_cost": evaluator.total_cost,
-            },
-        )
-
-
-class CongestionBottleneckSolver(_CongestionSolver):
-    """Min-max link utilization: drain the worst uplink first.
-
-    Starts from the congestion-greedy construction, then repeatedly
-    finds the most-utilized link and tries to move one device whose
-    path crosses it to a feasible server that lowers the network-wide
-    maximum utilization (tie-broken by total contention cost).  Stops
-    when no such move exists.  This is the budget-formulation
-    ``min max_j sum flow/bw`` heuristic from the shared-bottleneck
-    model.
-    """
-
-    name = "congestion_bottleneck"
-
-    def __init__(self, max_moves: int = 200, **kwargs) -> None:
-        super().__init__(**kwargs)
-        require(max_moves >= 1, "max_moves must be >= 1")
-        self.max_moves = max_moves
-
-    def _solve(self, problem: AssignmentProblem, rng) -> tuple[Assignment, dict]:
-        if not self._has_topology(problem):
-            with self.phase("construct"):
-                assignment = greedy_feasible_assignment(problem)
-            return assignment, {"iterations": 0, "fallback": "greedy"}
-        with self.phase("route"):
-            model = self._model(problem)
-        with self.phase("construct"):
-            evaluator, residual, _ = _greedy_construct(model, problem)
-        vector = evaluator.vector
-        healthy = problem.healthy_mask()
-        bandwidth = model.incidence.bandwidth
-        moves = 0
-        with self.phase("drain"):
-            for _ in range(self.max_moves):
-                utilization = evaluator.load / bandwidth
-                if utilization.size == 0:
-                    break
-                worst = int(np.argmax(utilization))
-                worst_util = float(utilization[worst])
-                if worst_util <= 0.0:
-                    break
-                best = None  # (new_max, cost_delta, device, server)
-                for device in range(problem.n_devices):
-                    server = int(vector[device])
-                    if server == UNASSIGNED:
-                        continue
-                    if worst not in model.incidence.path_links[device][server]:
-                        continue
-                    for target in range(problem.n_servers):
-                        if target == server or not healthy[target]:
-                            continue
-                        if (problem.demand[device, target]
-                                > residual[target] + _EPS):
-                            continue
-                        delta = evaluator.shift_delta(device, target)
-                        changes = evaluator._changes([(device, server, target)])
-                        new_max = 0.0
-                        for idx, (d_load, _) in changes.items():
-                            new_max = max(
-                                new_max,
-                                (evaluator.load[idx] + d_load) / bandwidth[idx],
-                            )
-                        untouched = np.delete(
-                            utilization, list(changes.keys())
-                        ) if changes else utilization
-                        if untouched.size:
-                            new_max = max(new_max, float(np.max(untouched)))
-                        candidate = (new_max, delta, device, target)
-                        if best is None or candidate < best:
-                            best = candidate
-                if best is None or best[0] >= worst_util - 1e-12:
-                    break
-                _, _, device, target = best
-                source = int(vector[device])
-                residual[source] += problem.demand[device, source]
-                residual[target] -= problem.demand[device, target]
-                evaluator.apply_shift(device, target)
-                moves += 1
-        max_util = (
-            float(np.max(evaluator.load / bandwidth)) if bandwidth.size else 0.0
-        )
-        return (
-            Assignment(problem, vector),
-            {
-                "iterations": moves,
-                "contention_cost": evaluator.total_cost,
-                "max_utilization": max_util,
             },
         )

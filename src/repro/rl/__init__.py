@@ -10,6 +10,7 @@ design space:
   feasibility masking makes overload *impossible by construction*;
 * :mod:`repro.rl.qlearning` — tabular Q-learning over an abstracted
   (device, quantized-residual-loads) state;
+* :mod:`repro.rl.sarsa` — its on-policy SARSA counterpart;
 * :mod:`repro.rl.bandit` — per-device UCB bandits (the lightest
   "RL based heuristic");
 * :mod:`repro.rl.reinforce` — REINFORCE policy gradient with a NumPy
@@ -20,8 +21,8 @@ design space:
   search polish.
 
 All of them implement the common :class:`~repro.solvers.base.Solver`
-interface and are registered as ``"qlearning"``, ``"bandit"``,
-``"reinforce"`` and ``"tacc"``.
+interface and are registered as ``"qlearning"``, ``"sarsa"``,
+``"bandit"``, ``"reinforce"`` and ``"tacc"``.
 """
 
 from repro._lazy import lazy_exports
@@ -29,7 +30,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.rl.agent": ("TaccSolver",),
     "repro.rl.bandit": ("BanditSolver",),
-    "repro.rl.double_q": ("DoubleQLearningSolver",),
     "repro.rl.env": ("AssignmentEnv", "EpisodeResult"),
     "repro.rl.qlearning": ("QLearningSolver",),
     "repro.rl.reinforce": ("ReinforceSolver",),
@@ -40,7 +40,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 __all__ = [
     "TaccSolver",
     "BanditSolver",
-    "DoubleQLearningSolver",
     "AssignmentEnv",
     "EpisodeResult",
     "QLearningSolver",

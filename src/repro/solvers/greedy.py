@@ -2,15 +2,14 @@
 
 Ordered roughly by sophistication:
 
-* :class:`RandomFeasibleSolver`, :class:`RoundRobinSolver` — strawmen
-  that ignore delay;
+* :class:`RandomFeasibleSolver` — the strawman that ignores delay;
 * :class:`NearestServerSolver` — chases delay and *ignores capacity*;
   the proximity heuristic the paper's "no edge device overloaded"
   guarantee is contrasted with.  On tight instances it overloads.
 * :class:`GreedyFeasibleSolver` — delay-greedy restricted to servers
-  with residual capacity (devices in decreasing-demand order);
-* :class:`BestFitSolver` / :class:`WorstFitSolver` — capacity-packing
-  orientations of the same loop;
+  with residual capacity (devices in decreasing-demand order); the
+  same loop's best-fit / worst-fit packing orientations back
+  :func:`feasible_start`'s fallback chain;
 * :class:`RegretGreedySolver` — Martello–Toth style: always commit the
   device that would lose the most if its best server filled up.
 
@@ -160,24 +159,6 @@ class GreedyFeasibleSolver(Solver):
         return greedy_feasible_assignment(problem, prefer="delay"), {}
 
 
-class BestFitSolver(Solver):
-    """Pack tightly: choose the fitting server with least leftover room."""
-
-    name = "best_fit"
-
-    def _solve(self, problem: AssignmentProblem, rng) -> tuple[Assignment, dict]:
-        return greedy_feasible_assignment(problem, prefer="best_fit"), {}
-
-
-class WorstFitSolver(Solver):
-    """Spread load: choose the fitting server with most leftover room."""
-
-    name = "worst_fit"
-
-    def _solve(self, problem: AssignmentProblem, rng) -> tuple[Assignment, dict]:
-        return greedy_feasible_assignment(problem, prefer="worst_fit"), {}
-
-
 class RegretGreedySolver(Solver):
     """Max-regret greedy (Martello & Toth's MTHG adapted to delay costs).
 
@@ -238,27 +219,6 @@ class RegretGreedySolver(Solver):
                 if fallback.is_feasible():
                     assignment = fallback
         return assignment, {"iterations": iterations, "stranded": stranded}
-
-
-class RoundRobinSolver(Solver):
-    """Cycle servers in index order, skipping full ones (delay-blind)."""
-
-    name = "round_robin"
-
-    def _solve(self, problem: AssignmentProblem, rng) -> tuple[Assignment, dict]:
-        residual = problem.capacity.copy()
-        assignment = Assignment(problem)
-        cursor = 0
-        m = problem.n_servers
-        for device in range(problem.n_devices):
-            for step in range(m):
-                server = (cursor + step) % m
-                if problem.demand[device, server] <= residual[server] + 1e-12:
-                    assignment.assign(device, server)
-                    residual[server] -= problem.demand[device, server]
-                    cursor = (server + 1) % m
-                    break
-        return assignment, {}
 
 
 class RandomFeasibleSolver(Solver):

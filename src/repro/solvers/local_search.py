@@ -1,23 +1,19 @@
-"""Neighbourhood-search heuristics: hill climbing and tabu search.
+"""Neighbourhood search: best-improvement hill climbing.
 
-Both operate on the classic GAP neighbourhood:
+It operates on the classic GAP neighbourhood:
 
 * **shift** — move one device to a different server with room;
 * **swap** — exchange the servers of two devices when both fit.
 
 :class:`LocalSearchSolver` descends to a local optimum from the greedy
-start; :class:`TabuSearchSolver` keeps moving after local optima using
-a recency-based tabu list with aspiration.  Both maintain feasibility
-invariantly — a move is only a candidate if it keeps every server
-within capacity — so they inherit the paper's "never overloaded"
-guarantee from their feasible starting point.
+start.  It maintains feasibility invariantly — a move is only a
+candidate if it keeps every server within capacity — so it inherits
+the paper's "never overloaded" guarantee from its feasible starting
+point.  TACC's local polish (:mod:`repro.rl.agent`) reuses the
+shift/swap helpers.
 """
 
 from __future__ import annotations
-
-from collections import deque
-
-import numpy as np
 
 from repro.model.problem import AssignmentProblem
 from repro.model.solution import Assignment
@@ -136,68 +132,3 @@ class LocalSearchSolver(Solver):
                     moves += 1
                     improved = True
         return Assignment(problem, vector), {"iterations": moves, "passes": passes}
-
-
-class TabuSearchSolver(Solver):
-    """Tabu search over the shift neighbourhood.
-
-    After each move, reverting that device to its previous server is
-    tabu for ``tenure`` iterations unless it would beat the best
-    solution seen (aspiration).  Runs a fixed ``max_iters`` and returns
-    the best feasible assignment encountered.
-    """
-
-    name = "tabu"
-
-    def __init__(self, max_iters: int = 500, tenure: int = 15, **kwargs) -> None:
-        super().__init__(**kwargs)
-        require(max_iters >= 1, "max_iters must be >= 1")
-        require(tenure >= 1, "tenure must be >= 1")
-        self.max_iters = max_iters
-        self.tenure = tenure
-
-    def _solve(self, problem: AssignmentProblem, rng) -> tuple[Assignment, dict]:
-        with self.phase("construct"):
-            assignment = feasible_start(problem, rng)
-        if not assignment.is_complete:
-            return assignment, {"iterations": 0}
-        vector = assignment.vector
-        loads = assignment.loads()
-        n, m = problem.n_devices, problem.n_servers
-        cost = float(np.sum(problem.delay[np.arange(n), vector]))
-        best_cost = cost
-        best_vector = vector.copy()
-        tabu: deque[tuple[int, int]] = deque()
-        tabu_set: set[tuple[int, int]] = set()
-        iterations = 0
-        with self.phase("search"):
-            for _ in range(self.max_iters):
-                iterations += 1
-                best_delta = np.inf
-                best_move = None
-                for device in range(n):
-                    for server in range(m):
-                        delta = _shift_delta(problem, vector, loads, device, server)
-                        if delta is None:
-                            continue
-                        is_tabu = (device, server) in tabu_set
-                        aspires = cost + delta < best_cost - 1e-15
-                        if is_tabu and not aspires:
-                            continue
-                        if delta < best_delta:
-                            best_delta = delta
-                            best_move = (device, server)
-                if best_move is None:
-                    break  # every move tabu and non-aspiring: stagnated
-                device, server = best_move
-                previous = int(vector[device])
-                _apply_shift(problem, vector, loads, device, server)
-                cost += best_delta
-                tabu.append((device, previous))
-                tabu_set.add((device, previous))
-                while len(tabu) > self.tenure:
-                    tabu_set.discard(tabu.popleft())
-                if cost < best_cost - 1e-15:
-                    best_cost = cost
-                    best_vector = vector.copy()
-        return Assignment(problem, best_vector), {"iterations": iterations}

@@ -3,39 +3,32 @@
 The benchmark harness sweeps algorithms by registry name, so adding a
 solver here makes it appear in every table.  RL solvers are imported
 lazily to keep ``repro.solvers`` and ``repro.rl`` free of import
-cycles.
+cycles.  :class:`~repro.solvers.exact.BruteForceSolver` is deliberately
+not registered: it is the exhaustive test oracle for tiny instances,
+not a member of the comparison.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.contention.solvers import (
-    CongestionBottleneckSolver,
-    CongestionGreedySolver,
-    CongestionLocalSearchSolver,
-)
+from repro.contention.solvers import CongestionLocalSearchSolver
 from repro.errors import SolverError
 from repro.solvers.annealing import SimulatedAnnealingSolver
-from repro.solvers.auction import AuctionSolver
 from repro.solvers.base import Solver
 from repro.solvers.bottleneck import BottleneckSolver
-from repro.solvers.exact import BranchAndBoundSolver, BruteForceSolver
+from repro.solvers.exact import BranchAndBoundSolver
 from repro.solvers.genetic import GeneticSolver
 from repro.solvers.greedy import (
-    BestFitSolver,
     GreedyFeasibleSolver,
     NearestServerSolver,
     RandomFeasibleSolver,
     RegretGreedySolver,
-    RoundRobinSolver,
-    WorstFitSolver,
 )
 from repro.solvers.lagrangian import LagrangianSolver
 from repro.solvers.lns import LNSSolver
-from repro.solvers.local_search import LocalSearchSolver, TabuSearchSolver
+from repro.solvers.local_search import LocalSearchSolver
 from repro.solvers.lp import LPRoundingSolver
-from repro.solvers.portfolio import PortfolioSolver
 from repro.solvers.resilient import ResilientSolver
 
 
@@ -69,59 +62,27 @@ def _sarsa_factory(**kwargs) -> Solver:
     return SarsaSolver(**kwargs)
 
 
-def _double_q_factory(**kwargs) -> Solver:
-    from repro.rl.double_q import DoubleQLearningSolver
-
-    return DoubleQLearningSolver(**kwargs)
-
-
 _REGISTRY: dict[str, Callable[..., Solver]] = {
     NearestServerSolver.name: NearestServerSolver,
     GreedyFeasibleSolver.name: GreedyFeasibleSolver,
-    BestFitSolver.name: BestFitSolver,
-    WorstFitSolver.name: WorstFitSolver,
     RegretGreedySolver.name: RegretGreedySolver,
-    RoundRobinSolver.name: RoundRobinSolver,
     RandomFeasibleSolver.name: RandomFeasibleSolver,
     LocalSearchSolver.name: LocalSearchSolver,
-    TabuSearchSolver.name: TabuSearchSolver,
     SimulatedAnnealingSolver.name: SimulatedAnnealingSolver,
     GeneticSolver.name: GeneticSolver,
     LPRoundingSolver.name: LPRoundingSolver,
     LNSSolver.name: LNSSolver,
     LagrangianSolver.name: LagrangianSolver,
-    AuctionSolver.name: AuctionSolver,
     BottleneckSolver.name: BottleneckSolver,
-    CongestionGreedySolver.name: CongestionGreedySolver,
     CongestionLocalSearchSolver.name: CongestionLocalSearchSolver,
-    CongestionBottleneckSolver.name: CongestionBottleneckSolver,
-    PortfolioSolver.name: PortfolioSolver,
     ResilientSolver.name: ResilientSolver,
-    BruteForceSolver.name: BruteForceSolver,
     BranchAndBoundSolver.name: BranchAndBoundSolver,
     "tacc": _tacc_factory,
     "qlearning": _qlearning_factory,
     "bandit": _bandit_factory,
     "reinforce": _reinforce_factory,
     "sarsa": _sarsa_factory,
-    "double_q": _double_q_factory,
 }
-
-#: heuristic comparison field used by most figures (no exact solvers,
-#: which would dominate runtime; no capacity-blind strawman, which is
-#: shown separately in the load-balance figure)
-DEFAULT_BASELINES = [
-    "random",
-    "round_robin",
-    "greedy",
-    "regret",
-    "local_search",
-    "tabu",
-    "annealing",
-    "genetic",
-    "lp_rounding",
-    "auction",
-]
 
 
 def available_solvers() -> list[str]:

@@ -75,9 +75,7 @@ class TestDegenerateSweep:
             solver = make_solver(name)
         result = solver.solve(single_device())
         assert result.feasible
-        if name not in ("round_robin", "best_fit"):
-            # round robin and best fit are delay-blind by design
-            assert result.assignment.server_of(0) == 1
+        assert result.assignment.server_of(0) == 1
 
     def test_single_server_all_assigned(self, name):
         result = make_solver(name).solve(single_server())

@@ -8,13 +8,10 @@ from hypothesis import given, settings
 
 from repro.model.instances import gap_instance, random_instance
 from repro.solvers.greedy import (
-    BestFitSolver,
     GreedyFeasibleSolver,
     NearestServerSolver,
     RandomFeasibleSolver,
     RegretGreedySolver,
-    RoundRobinSolver,
-    WorstFitSolver,
     greedy_feasible_assignment,
     random_feasible_assignment,
 )
@@ -22,10 +19,7 @@ from tests.strategies import small_problems
 
 CAPACITY_AWARE = [
     GreedyFeasibleSolver,
-    BestFitSolver,
-    WorstFitSolver,
     RegretGreedySolver,
-    RoundRobinSolver,
     RandomFeasibleSolver,
 ]
 
@@ -71,6 +65,25 @@ class TestCapacityAwareFamily:
     def test_objective_at_least_lower_bound(self, solver_cls, small_problem):
         result = solver_cls(seed=0).solve(small_problem)
         assert result.objective_value >= small_problem.delay_lower_bound() - 1e-12
+
+
+@pytest.mark.parametrize("prefer", ["best_fit", "worst_fit"])
+class TestFallbackPackingModes:
+    """The packing orientations ``feasible_start`` falls back to."""
+
+    def test_feasible_on_generated_instances(self, prefer):
+        for seed in range(5):
+            problem = random_instance(30, 5, tightness=0.85, seed=seed)
+            assignment = greedy_feasible_assignment(problem, prefer=prefer)
+            assert assignment.is_feasible(), f"{prefer} infeasible on seed {seed}"
+
+    def test_no_server_ever_overloaded(self, prefer, tight_problem):
+        assignment = greedy_feasible_assignment(tight_problem, prefer=prefer)
+        assert assignment.overloaded_servers() == []
+
+    def test_objective_at_least_lower_bound(self, prefer, small_problem):
+        assignment = greedy_feasible_assignment(small_problem, prefer=prefer)
+        assert assignment.total_delay() >= small_problem.delay_lower_bound() - 1e-12
 
 
 class TestOrderingQuality:

@@ -1,8 +1,7 @@
-"""Tests for local search and tabu search."""
+"""Tests for local search and its shift/swap move deltas."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -11,7 +10,6 @@ from repro.model.instances import gap_instance, random_instance
 from repro.solvers.greedy import GreedyFeasibleSolver, greedy_feasible_assignment
 from repro.solvers.local_search import (
     LocalSearchSolver,
-    TabuSearchSolver,
     _shift_delta,
     _swap_delta,
 )
@@ -116,34 +114,3 @@ class TestLocalSearch:
         greedy = greedy_feasible_assignment(problem)
         if greedy.is_complete:
             assert result.objective_value <= greedy.total_delay() + 1e-12
-
-
-class TestTabuSearch:
-    def test_never_worse_than_greedy(self):
-        for seed in range(5):
-            problem = random_instance(25, 4, tightness=0.8, seed=seed)
-            greedy = GreedyFeasibleSolver().solve(problem).objective_value
-            tabu = TabuSearchSolver(max_iters=100).solve(problem).objective_value
-            assert tabu <= greedy + 1e-12
-
-    def test_stays_feasible(self, tight_problem):
-        result = TabuSearchSolver(max_iters=100).solve(tight_problem)
-        assert result.feasible
-
-    def test_at_least_as_good_as_plain_descent_overall(self):
-        tabu_total, local_total = 0.0, 0.0
-        for seed in range(6):
-            problem = gap_instance(25, 4, "d", seed=seed)
-            tabu_total += TabuSearchSolver(max_iters=200).solve(problem).objective_value
-            local_total += LocalSearchSolver(use_swaps=False).solve(problem).objective_value
-        assert tabu_total <= local_total + 1e-9
-
-    def test_iteration_budget_respected(self, small_problem):
-        result = TabuSearchSolver(max_iters=7).solve(small_problem)
-        assert result.iterations <= 7
-
-    def test_bad_parameters_rejected(self):
-        with pytest.raises(ValidationError):
-            TabuSearchSolver(max_iters=0)
-        with pytest.raises(ValidationError):
-            TabuSearchSolver(tenure=0)

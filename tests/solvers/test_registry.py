@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.errors import SolverError
 from repro.solvers.base import Solver
-from repro.solvers.registry import (
-    DEFAULT_BASELINES,
-    available_solvers,
-    get_solver,
-    register_solver,
-)
+from repro.solvers.registry import available_solvers, get_solver, register_solver
 
 
 class TestRegistry:
@@ -26,9 +25,17 @@ class TestRegistry:
         for rl in ("tacc", "qlearning", "bandit", "reinforce"):
             assert rl in names
 
-    def test_default_baselines_are_registered(self):
-        names = set(available_solvers())
-        assert set(DEFAULT_BASELINES) <= names
+    def test_every_registered_solver_backs_an_experiment(self):
+        """A registry name no experiment runs is upkeep without a result:
+        each must appear as a string literal in some experiment module."""
+        literals = set()
+        experiments = Path(repro.__file__).parent / "experiments"
+        for module in experiments.rglob("*.py"):
+            for node in ast.walk(ast.parse(module.read_text())):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    literals.add(node.value)
+        unused = sorted(set(available_solvers()) - literals)
+        assert not unused, f"registered but used by no experiment: {unused}"
 
     def test_kwargs_forwarded(self):
         solver = get_solver("tacc", episodes=12, seed=3)

@@ -20,14 +20,12 @@ FAST_KWARGS = {
     "tacc": {"episodes": 20},
     "qlearning": {"episodes": 20},
     "sarsa": {"episodes": 20},
-    "double_q": {"episodes": 20},
     "reinforce": {"episodes": 12},
     "bandit": {"rounds": 12},
     "annealing": {"steps": 500},
     "genetic": {"population": 8, "generations": 6},
     "lns": {"iterations": 25},
     "lagrangian": {"rounds": 25},
-    "portfolio": {"member_kwargs": {"lns": {"iterations": 25}}},
 }
 
 
@@ -36,28 +34,10 @@ def make(name, seed=0):
 
 
 @pytest.fixture(scope="module")
-def standard_problem():
+def contract_problem():
     return topology_instance(
         n_routers=20, n_devices=15, n_servers=3, tightness=0.7, seed=31_337
     )
-
-
-@pytest.fixture(scope="module")
-def tiny_contract_problem():
-    """Small enough for exhaustive search (3^8 states)."""
-    return topology_instance(
-        n_routers=12, n_devices=8, n_servers=3, tightness=0.7, seed=31_337
-    )
-
-
-@pytest.fixture()
-def contract_problem(request, standard_problem, tiny_contract_problem):
-    """Brute force gets the exhaustively-searchable instance; everyone
-    else gets the standard one."""
-    name = request.node.callspec.params.get("name")
-    if name == "brute_force":
-        return tiny_contract_problem
-    return standard_problem
 
 
 @pytest.mark.parametrize("name", sorted(available_solvers()))
