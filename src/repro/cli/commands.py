@@ -1076,7 +1076,7 @@ def cmd_info(args) -> int:
     """Version and registered components."""
     print(f"repro {repro.__version__}")
     print(f"solvers ({len(available_solvers())}): " + ", ".join(available_solvers()))
-    print(f"topology families: " + ", ".join(sorted(TOPOLOGY_FAMILIES)))
-    print(f"placement strategies: " + ", ".join(sorted(PLACEMENT_STRATEGIES)))
+    print("topology families: " + ", ".join(sorted(TOPOLOGY_FAMILIES)))
+    print("placement strategies: " + ", ".join(sorted(PLACEMENT_STRATEGIES)))
     print("experiments: " + ", ".join(sorted(_EXPERIMENT_MODULES)))
     return 0

@@ -11,8 +11,10 @@ the cluster's assignment under one of four strategies:
 * ``hysteresis`` — re-solve only when the :class:`MigrationPolicy`
   says the net benefit clears migration costs, or when mobility made
   the incumbent infeasible;
-* ``polish`` — never re-solve; run feasibility-preserving local search
-  from the incumbent each epoch (cheap, low-churn incremental repair).
+* ``polish`` — run the shared shift/swap descent
+  (:func:`~repro.solvers.local_search.descend`) from the incumbent
+  each epoch (cheap, low-churn incremental repair); re-solve only when
+  a degraded epoch left devices unassigned.
 
 The F8 experiment plots per-epoch delay and cumulative migrations for
 all four.
@@ -29,8 +31,8 @@ from repro.model.problem import AssignmentProblem
 from repro.model.solution import Assignment
 from repro.obs import names as obs_names
 from repro.obs import runtime as obs_runtime
-from repro.rl.agent import polish_assignment
 from repro.solvers.base import Solver
+from repro.solvers.local_search import DelayEvaluator, descend
 from repro.utils.validation import require
 
 RECONFIGURE_STRATEGIES = ("static", "always", "hysteresis", "polish")
@@ -119,7 +121,14 @@ class ReconfigurationController:
 
         if self.strategy == "polish":
             with registry.timer(obs_names.CLUSTER_RECONFIG_LATENCY, strategy_labels):
-                new_vector = polish_assignment(problem, self._vector, self.polish_passes)
+                if incumbent.is_complete:
+                    evaluator = DelayEvaluator(problem, self._vector)
+                    descend(problem, evaluator, self.polish_passes)
+                    new_vector = evaluator.vector
+                else:
+                    # devices shed in a degraded epoch have no server
+                    # to descend from: re-solve to bring them back
+                    new_vector = self.solver.solve(problem).assignment.vector
             moves = count_moves(self._vector, new_vector)
             self._commit(new_vector, moves, reconfigured=moves > 0)
             polished = Assignment(problem, new_vector)

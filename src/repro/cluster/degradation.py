@@ -60,10 +60,7 @@ def _subproblem(problem: AssignmentProblem, active: np.ndarray) -> AssignmentPro
 
 def shed_priority_by_demand(problem: AssignmentProblem) -> np.ndarray:
     """Default priority: heavier devices shed first (lower priority)."""
-    healthy = np.array(
-        [j not in problem.failed_servers for j in range(problem.n_servers)],
-        dtype=bool,
-    )
+    healthy = problem.healthy_mask()
     # the cheapest healthy placement is what the device will actually cost
     return -np.min(problem.demand[:, healthy], axis=1)
 
@@ -92,10 +89,7 @@ def solve_degraded(
     priority = np.asarray(priority, dtype=np.float64).reshape(-1)
     require(priority.shape[0] == n, f"priority must have length {n}")
 
-    healthy = np.array(
-        [j not in problem.failed_servers for j in range(problem.n_servers)],
-        dtype=bool,
-    )
+    healthy = problem.healthy_mask()
     total_capacity = float(np.sum(problem.capacity[healthy]))
     min_demand = np.min(problem.demand[:, healthy], axis=1)
     shed_order = np.argsort(priority, kind="stable")  # ascending: first out

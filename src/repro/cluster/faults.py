@@ -8,8 +8,8 @@ induce:
   server (``fail_prob`` up→down, ``repair_prob`` down→up per epoch),
   with a guard that never lets the *last* healthy server fail;
 * :func:`degraded_problem` — a copy of an instance carrying an explicit
-  ``failed_servers`` mask (failed capacity is zeroed so capacity-driven
-  solvers route around them, but *feasibility* is decided by the mask:
+  ``failed_servers`` mask (:class:`AssignmentProblem` zeroes a failed
+  server's capacity, so capacity-driven solvers route around it, and
   :meth:`Assignment.validate` rejects any device on a failed server);
 * :func:`serving_fraction` — the availability metric: what fraction of
   devices an assignment currently serves on healthy servers;
@@ -100,11 +100,9 @@ def degraded_problem(
     """Copy of ``problem`` where ``failed`` servers cannot host devices.
 
     Failure is represented explicitly: the copy carries ``failed`` in
-    its ``failed_servers`` mask, and assignment validation rejects any
-    device placed on a masked server — no capacity-epsilon tricks.
-    Capacities of failed servers are additionally zeroed so that
-    capacity-driven solvers (which never look at the mask) route around
-    them for free.
+    its ``failed_servers`` mask, which zeroes those servers' capacity
+    (so every capacity-driven solver routes around them) and makes
+    assignment validation reject any device placed on one.
     """
     failed = frozenset(int(server) for server in failed)
     for server in failed:
@@ -113,13 +111,10 @@ def degraded_problem(
         len(failed) < problem.n_servers,
         "cannot fail every server; at least one must stay healthy",
     )
-    capacity = problem.capacity.copy()
-    for server in failed:
-        capacity[server] = 0.0
     degraded = AssignmentProblem(
         delay=problem.delay,
         demand=problem.demand,
-        capacity=capacity,
+        capacity=problem.capacity,
         devices=problem.devices,
         servers=problem.servers,
         graph=problem.graph,

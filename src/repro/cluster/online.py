@@ -47,15 +47,9 @@ class OnlineAssigner:
         self.headroom = check_probability(headroom, "headroom")
         self.assignment = Assignment(problem)
         self._residual = problem.capacity.copy()
-        # a failed server advertises zero capacity; it must never be a
+        # a failed server has zero capacity; it must never be a
         # candidate and must never poison utilization with a 0/0
-        self._usable = np.array(
-            [
-                j not in problem.failed_servers and problem.capacity[j] > 0
-                for j in range(problem.n_servers)
-            ],
-            dtype=bool,
-        )
+        self._usable = problem.capacity > 0
         if not np.any(self._usable):
             raise InfeasibleSolutionError(
                 "no usable server: every server is failed or has zero capacity"

@@ -23,7 +23,7 @@ import numpy as np
 from repro.errors import ContentionError
 from repro.model.problem import AssignmentProblem
 from repro.topology.delay import DelayModel, TransmissionDelayModel
-from repro.topology.graph import Link, NetworkGraph
+from repro.topology.graph import Link
 from repro.topology.routing import routing_paths
 
 

@@ -27,10 +27,8 @@ from repro.model.problem import AssignmentProblem
 from repro.model.solution import UNASSIGNED, Assignment
 from repro.solvers.base import Solver
 from repro.solvers.greedy import feasible_start
+from repro.solvers.local_search import descend
 from repro.utils.validation import require
-
-#: capacity slack tolerance, matching the delay-only neighbourhood code
-_EPS = 1e-12
 
 
 def _greedy_construct(
@@ -47,15 +45,12 @@ def _greedy_construct(
         model, np.full(n, UNASSIGNED, dtype=np.int64)
     )
     residual = problem.capacity.copy()
-    healthy = problem.healthy_mask()
     order = np.argsort(-np.mean(problem.demand, axis=1), kind="stable")
     for device in (int(d) for d in order):
         best_server = -1
         best_delta = np.inf
         for server in range(m):
-            if not healthy[server]:
-                continue
-            if problem.demand[device, server] > residual[server] + _EPS:
+            if problem.demand[device, server] > residual[server] + 1e-12:
                 continue
             delta = evaluator.shift_delta(device, server)
             if delta < best_delta - 1e-15:
@@ -71,7 +66,7 @@ def _greedy_construct(
 class CongestionLocalSearchSolver(Solver):
     """Best-improvement shift/swap descent on the contention cost.
 
-    Identical neighbourhood and feasibility rules to
+    The same :func:`~repro.solvers.local_search.descend` as
     :class:`~repro.solvers.local_search.LocalSearchSolver`, but move
     deltas come from the incremental link re-pricing, so the search
     actively drains saturated links — the configuration that wins the
@@ -109,64 +104,10 @@ class CongestionLocalSearchSolver(Solver):
                 if not fallback.is_complete:
                     return fallback, {"iterations": 0}
                 evaluator = IncrementalEvaluator(model, fallback.vector)
-        vector = evaluator.vector
-        loads = Assignment(problem, vector.copy()).loads()
-        n, m = problem.n_devices, problem.n_servers
-        healthy = problem.healthy_mask()
-        passes = 0
-        moves = 0
-        improved = True
         with self.phase("descend"):
-            while improved and passes < self.max_passes:
-                passes += 1
-                improved = False
-                best_delta = -1e-15
-                best_move = None
-                for device in range(n):
-                    current = int(vector[device])
-                    for server in range(m):
-                        if server == current or not healthy[server]:
-                            continue
-                        if (loads[server] + problem.demand[device, server]
-                                > problem.capacity[server] + _EPS):
-                            continue
-                        delta = evaluator.shift_delta(device, server)
-                        if delta < best_delta:
-                            best_delta = delta
-                            best_move = ("shift", device, server)
-                if self.use_swaps:
-                    for a in range(n):
-                        for b in range(a + 1, n):
-                            sa, sb = int(vector[a]), int(vector[b])
-                            if sa == sb:
-                                continue
-                            load_a = (loads[sa] - problem.demand[a, sa]
-                                      + problem.demand[b, sa])
-                            load_b = (loads[sb] - problem.demand[b, sb]
-                                      + problem.demand[a, sb])
-                            if (load_a > problem.capacity[sa] + _EPS
-                                    or load_b > problem.capacity[sb] + _EPS):
-                                continue
-                            delta = evaluator.swap_delta(a, b)
-                            if delta < best_delta:
-                                best_delta = delta
-                                best_move = ("swap", a, b)
-                if best_move is not None:
-                    kind, x, y = best_move
-                    if kind == "shift":
-                        current = int(vector[x])
-                        loads[current] -= problem.demand[x, current]
-                        loads[y] += problem.demand[x, y]
-                        evaluator.apply_shift(x, y)
-                    else:
-                        sa, sb = int(vector[x]), int(vector[y])
-                        loads[sa] += problem.demand[y, sa] - problem.demand[x, sa]
-                        loads[sb] += problem.demand[x, sb] - problem.demand[y, sb]
-                        evaluator.apply_swap(x, y)
-                    moves += 1
-                    improved = True
+            passes, moves = descend(problem, evaluator, self.max_passes, self.use_swaps)
         return (
-            Assignment(problem, vector),
+            Assignment(problem, evaluator.vector),
             {
                 "iterations": moves,
                 "passes": passes,

@@ -46,9 +46,10 @@ class AssignmentProblem:
         The backing :class:`NetworkGraph`, when one exists.
     failed_servers:
         Explicit down-server mask.  A failed server cannot host any
-        device: assignments targeting one are invalid regardless of
-        numeric capacity (see :meth:`Assignment.validate`).  Failed
-        servers are the only ones allowed a zero capacity.
+        device: its capacity is set to 0 (in a copy; the caller's
+        array is untouched), so every capacity check excludes it, and
+        :meth:`Assignment.validate` rejects any device placed on one.
+        Failed servers are the only ones allowed a zero capacity.
     objective:
         Cost-model mode: ``"delay"`` (the default static per-path
         scalar) or ``"congestion"`` (flow-based effective delay; see
@@ -94,14 +95,16 @@ class AssignmentProblem:
             len(self.failed_servers) < m,
             "at least one server must stay healthy",
         )
-        healthy = np.array(
-            [j not in self.failed_servers for j in range(m)], dtype=bool
-        )
         require(np.all(np.isfinite(capacity)) and np.all(capacity >= 0),
                 "capacity must be nonnegative and finite")
-        require(np.all(capacity[healthy] > 0),
-                "healthy servers must have positive capacity")
+        if self.failed_servers:
+            # a failed server hosts nothing: with demand strictly
+            # positive, every capacity check excludes it
+            capacity = capacity.copy()
+            capacity[sorted(self.failed_servers)] = 0.0
         self.capacity = capacity
+        require(np.all(capacity[self.healthy_mask()] > 0),
+                "healthy servers must have positive capacity")
         require(
             self.objective in ("delay", "congestion"),
             f"unknown objective mode {self.objective!r}; "

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SimulationError, ValidationError
-from repro.model.problem import AssignmentProblem
 from repro.model.solution import Assignment
 from repro.obs import names as obs_names
 from repro.obs import runtime as obs_runtime

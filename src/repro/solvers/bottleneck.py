@@ -30,6 +30,7 @@ from repro.model.problem import AssignmentProblem
 from repro.model.solution import Assignment
 from repro.solvers.base import Solver
 from repro.solvers.greedy import feasible_start
+from repro.solvers.local_search import DelayEvaluator, descend
 from repro.utils.validation import require
 
 
@@ -43,6 +44,7 @@ def _restricted(problem: AssignmentProblem, threshold: float) -> AssignmentProbl
         delay=problem.delay,
         demand=demand,
         capacity=problem.capacity,
+        failed_servers=problem.failed_servers,
         name=f"{problem.name}|<= {threshold:.6g}s",
     )
 
@@ -83,13 +85,10 @@ class BottleneckSolver(Solver):
         threshold = float(thresholds[best_index])
 
         # secondary descent on total delay inside the restriction
-        from repro.rl.agent import polish_assignment
-
         restricted = _restricted(problem, threshold)
-        vector = polish_assignment(
-            restricted, best_witness.vector, max_passes=self.polish_passes
-        )
-        return Assignment(problem, vector), {
+        evaluator = DelayEvaluator(restricted, best_witness.vector)
+        descend(restricted, evaluator, self.polish_passes)
+        return Assignment(problem, evaluator.vector), {
             "iterations": probes,
             "bottleneck_s": threshold,
         }

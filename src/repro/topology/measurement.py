@@ -21,8 +21,6 @@ needs.
 
 from __future__ import annotations
 
-import math
-
 import typing
 
 import numpy as np

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from repro.topology.graph import NetworkGraph, NodeKind
 from repro.utils.stats import summarize
 from repro.utils.tables import format_table

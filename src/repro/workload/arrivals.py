@@ -11,7 +11,7 @@ import abc
 
 import numpy as np
 
-from repro.utils.validation import check_nonnegative, check_positive, check_probability
+from repro.utils.validation import check_positive, check_probability
 
 
 class ArrivalProcess(abc.ABC):

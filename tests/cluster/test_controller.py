@@ -8,7 +8,8 @@ import pytest
 from repro.cluster.controller import RECONFIGURE_STRATEGIES, ReconfigurationController
 from repro.cluster.migration import MigrationPolicy
 from repro.errors import ValidationError
-from repro.model.instances import topology_instance
+from repro.model.instances import random_instance, topology_instance
+from repro.model.solution import UNASSIGNED
 from repro.solvers.greedy import GreedyFeasibleSolver
 from repro.workload.mobility import RandomWaypointMobility
 
@@ -117,6 +118,19 @@ class TestStrategySemantics:
         for epoch_state in epochs:
             decision = controller.observe(epoch_state.epoch, epoch_state.problem)
             assert decision.feasible
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_polish_brings_back_devices_shed_while_degraded(self, seed):
+        """Two failed servers force shedding; once they heal, every
+        server has room again, so the polish epoch serves everyone."""
+        problem = random_instance(30, 4, tightness=0.85, seed=seed)
+        controller = ReconfigurationController(GreedyFeasibleSolver(), strategy="polish")
+        controller.initialize(problem)
+        degraded = controller.observe(1, problem, failed={0, 1})
+        assert degraded.shed > 0
+        healed = controller.observe(2, problem)
+        assert not np.any(healed.vector == UNASSIGNED)
+        assert healed.feasible
 
     def test_reconfiguration_counter(self, drift):
         base, epochs = drift

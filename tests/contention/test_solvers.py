@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.contention import ContentionConfig, ContentionModel
+from repro.contention import ContentionConfig, ContentionModel, IncrementalEvaluator
 from repro.contention.solvers import _greedy_construct
 from repro.errors import ValidationError
 from repro.model.instances import random_instance, topology_instance
+from repro.solvers.greedy import random_feasible_assignment
+from repro.solvers.local_search import descend
 from repro.solvers.registry import available_solvers, get_solver
+from tests.solvers.test_local_search import oracle_candidates
 
 CONGESTION_SOLVERS = ("congestion_local_search",)
 
@@ -106,3 +111,39 @@ class TestSearchQuality:
             result = get_solver(name, seed=0).solve(degraded)
             assert result.feasible, name
             assert not np.any(result.assignment.vector == 0), name
+
+
+class TestDescentOnContention:
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), use_swaps=st.booleans())
+    def test_each_move_is_the_oracle_best(
+        self, congested_problem, congested_model, seed, use_swaps
+    ):
+        """Pass by pass, the move the shared descent applies through the
+        incremental evaluator is a best feasible neighbour under a full
+        ``ContentionModel.total_cost`` recompute, to 1e-9."""
+        problem, model = congested_problem, congested_model
+        start = random_feasible_assignment(problem, np.random.default_rng(seed))
+        assume(start.is_feasible())
+        vector = start.vector
+        for _ in range(50):
+            before = model.total_cost(vector)
+            deltas = [
+                (model.total_cost(trial) - before, trial)
+                for trial in oracle_candidates(problem, vector, use_swaps)
+            ]
+            best = min((delta for delta, _ in deltas), default=0.0)
+            evaluator = IncrementalEvaluator(model, vector)
+            _, moves = descend(problem, evaluator, 1, use_swaps)
+            if moves == 0:
+                assert best >= -1e-9
+                return
+            applied = [
+                delta for delta, trial in deltas
+                if np.array_equal(trial, evaluator.vector)
+            ]
+            assert len(applied) == 1
+            assert applied[0] < 0
+            assert applied[0] <= best + 1e-9
+            vector = evaluator.vector
+        pytest.fail("descent did not settle within 50 passes")

@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.experiments import configs
-from repro.experiments.configs import QUICK_SOLVER_KWARGS, Scale, get_config
+from repro.experiments.configs import Scale, get_config
 
 
 class TestConfigs:

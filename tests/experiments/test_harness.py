@@ -15,7 +15,6 @@ from repro.experiments.harness import (
     run_sweep,
     sweep_seeds,
 )
-from repro.solvers.base import SolverResult
 
 
 class TestResultTable:

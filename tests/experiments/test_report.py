@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
-import pytest
-
 from repro.experiments.harness import ResultTable
 from repro.experiments.report import (
     EXPERIMENTS,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.model.analysis import (
@@ -77,7 +76,6 @@ class TestServerContention:
         assert contention["nearest_servers_used"] == 0.5
 
     def test_spread_preferences(self):
-        rng = np.random.default_rng(3)
         problem = random_instance(200, 4, seed=3)
         contention = server_contention(problem)
         assert contention["nearest_share_top"] < 0.5

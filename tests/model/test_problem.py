@@ -132,6 +132,17 @@ class TestFailedServerMasking:
         mask = self.degraded().healthy_mask()
         assert mask.tolist() == [False, True, True]
 
+    def test_failed_capacity_reads_zero_in_a_copy(self):
+        capacity = np.array([90.0, 90.0, 90.0])
+        problem = AssignmentProblem(
+            delay=np.ones((3, 3)),
+            demand=[10.0, 20.0, 30.0],
+            capacity=capacity,
+            failed_servers=frozenset({0}),
+        )
+        assert problem.capacity.tolist() == [0.0, 90.0, 90.0]
+        assert capacity.tolist() == [90.0, 90.0, 90.0]
+
 
 class TestFromTopology:
     def test_matrix_matches_delay_model(self, topo_problem):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from repro.errors import InfeasibleSolutionError, SerializationError, ValidationError
 from repro.model.problem import AssignmentProblem
 from repro.model.solution import UNASSIGNED, Assignment
-from tests.strategies import assignment_vectors, small_problems
+from tests.strategies import small_problems
 
 
 @pytest.fixture

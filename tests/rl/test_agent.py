@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.model.instances import gap_instance, random_instance, topology_instance
-from repro.rl.agent import TaccSolver, polish_assignment
+from repro.model.instances import gap_instance, random_instance
+from repro.rl.agent import TaccSolver
 from repro.rl.qlearning import QLearningSolver
 from repro.solvers.exact import BranchAndBoundSolver
 from repro.solvers.greedy import GreedyFeasibleSolver, greedy_feasible_assignment
@@ -77,10 +76,12 @@ class TestTaccSolver:
 
 
 class TestPolishAssignment:
+    """TACC's polish step: the shared shift/swap descent on delay."""
+
     def test_improves_or_preserves(self, small_problem):
         start = greedy_feasible_assignment(small_problem)
         before = start.total_delay()
-        polished = polish_assignment(small_problem, start.vector)
+        polished = TaccSolver()._post_process(small_problem, start.vector)
         after = float(
             np.sum(
                 small_problem.delay[np.arange(small_problem.n_devices), polished]
@@ -93,16 +94,16 @@ class TestPolishAssignment:
         from repro.solvers.greedy import feasible_start
 
         start = feasible_start(tight_problem)
-        polished = polish_assignment(tight_problem, start.vector)
+        polished = TaccSolver()._post_process(tight_problem, start.vector)
         assert Assignment(tight_problem, polished).is_feasible()
 
     def test_does_not_mutate_input(self, small_problem):
         start = greedy_feasible_assignment(small_problem).vector
         original = start.copy()
-        polish_assignment(small_problem, start)
+        TaccSolver()._post_process(small_problem, start)
         assert np.all(start == original)
 
     def test_zero_passes_is_identity(self, small_problem):
         start = greedy_feasible_assignment(small_problem).vector
-        polished = polish_assignment(small_problem, start, max_passes=0)
+        polished = TaccSolver(polish_passes=0)._post_process(small_problem, start)
         assert np.all(polished == start)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
-from repro.model.instances import random_instance
 from repro.model.problem import AssignmentProblem
 from repro.rl.env import AssignmentEnv
 from tests.strategies import small_problems

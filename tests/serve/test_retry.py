@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import asyncio
 
-import pytest
-
 from repro.serve.protocol import Request, Response
 from repro.serve.retry import (
     RetryBudget,

@@ -19,7 +19,7 @@ from repro.serve.service import AssignmentService, ServiceConfig
 from repro.shard.backend import CircuitBreaker, InProcessBackend, TCPBackend
 from repro.shard.latency import LatencyTracker
 from repro.shard.partition import build_plan
-from repro.shard.router import RouterConfig, ShardRouter
+from repro.shard.router import ShardRouter
 
 
 def run(coro):

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import ValidationError
 from repro.model.solution import Assignment
 from repro.sim.runner import simulate_assignment
 from repro.solvers.greedy import GreedyFeasibleSolver, greedy_feasible_assignment
-from repro.topology.delay import TransmissionDelayModel
 from repro.workload.arrivals import PeriodicProcess
 
 

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.model.instances import gap_instance, random_instance
+from repro.cluster.faults import degraded_problem
+from repro.model.instances import random_instance
 from repro.model.problem import AssignmentProblem
 from repro.solvers.bottleneck import BottleneckSolver, _restricted
-from repro.solvers.exact import BruteForceSolver
 from repro.solvers.greedy import GreedyFeasibleSolver
 from tests.strategies import small_problems
 
@@ -58,6 +58,12 @@ class TestBottleneckSolver:
         a = BottleneckSolver().solve(small_problem)
         b = BottleneckSolver().solve(small_problem)
         assert a.assignment == b.assignment
+
+    def test_solves_degraded_problem(self):
+        problem = degraded_problem(random_instance(20, 4, tightness=0.5, seed=1), {0})
+        result = BottleneckSolver().solve(problem)
+        assert result.feasible
+        assert not np.any(result.assignment.vector == 0)
 
     def test_polish_zero_passes_still_feasible(self, small_problem):
         result = BottleneckSolver(polish_passes=0).solve(small_problem)

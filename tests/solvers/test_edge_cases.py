@@ -64,6 +64,17 @@ def exact_fit():
     )
 
 
+def failed_server_with_room():
+    """Failed server 1 is everyone's nearest and still lists capacity;
+    servers 0 and 2 each have room for all three devices."""
+    return AssignmentProblem(
+        delay=[[2.0, 1.0, 3.0]] * 3,
+        demand=[1.0] * 3,
+        capacity=[3.0, 3.0, 3.0],
+        failed_servers=frozenset({1}),
+    )
+
+
 @pytest.mark.parametrize("name", sorted(available_solvers()))
 class TestDegenerateSweep:
     def test_single_device_picks_min_delay(self, name):
@@ -102,6 +113,16 @@ class TestDegenerateSweep:
         assert result.assignment.server_of(0) == 0
         assert result.assignment.server_of(1) == 1
         assert result.objective_value == pytest.approx(2.0)
+
+    def test_failed_server_is_avoided(self, name):
+        result = make_solver(name).solve(failed_server_with_room())
+        if name == "nearest":
+            # capacity-blind: takes the failed nearest server, which
+            # validation then rejects
+            assert not result.feasible
+            return
+        assert result.feasible, name
+        assert result.assignment.devices_on(1) == []
 
 
 class TestNumericalEdges:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro.errors import TopologyError, ValidationError
 from repro.topology.generators import (
     ACCESS,
-    BACKBONE,
     TOPOLOGY_FAMILIES,
     LinkProfile,
     apply_oversubscription,
@@ -46,7 +45,7 @@ class TestEnsureConnected:
         graph = NetworkGraph()
         a = graph.add_node(NodeKind.ROUTER, (0.0, 0.0))
         b = graph.add_node(NodeKind.ROUTER, (0.1, 0.0))
-        c = graph.add_node(NodeKind.ROUTER, (1.0, 1.0))
+        graph.add_node(NodeKind.ROUTER, (1.0, 1.0))
         graph.add_link(a, b, 1e-3, 1e9)
         ensure_connected(graph)
         assert graph.is_connected()

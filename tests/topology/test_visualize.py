@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.model.instances import topology_instance
 from repro.topology.generators import barabasi_albert, grid, random_geometric
 from repro.topology.graph import NodeKind

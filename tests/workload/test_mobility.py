@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.model.instances import random_instance, topology_instance
-from repro.topology.graph import NodeKind
 from repro.workload.mobility import RandomWaypointMobility
 
 
